@@ -22,8 +22,6 @@
 package ctrl
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -31,8 +29,9 @@ import (
 	"gtlb/internal/dist"
 )
 
-// EstimateKind is the dist.Message kind carrying a gob-encoded
-// Estimate between a load reporter (lbgen) and the daemon (lbd).
+// EstimateKind is the dist.Message kind carrying a binary-encoded
+// Estimate (see MarshalBinary) between a load reporter (lbgen) and the
+// daemon (lbd).
 const EstimateKind = "ctrl.estimate"
 
 // Estimate is one observation of the system's offered load and
@@ -109,11 +108,11 @@ func (e Estimate) UpCapacity() (sum float64, up int) {
 // EncodeMessage packs the estimate into a transport message addressed
 // to the given node.
 func EncodeMessage(to string, e Estimate) (dist.Message, error) {
-	m := dist.Message{To: to, Kind: EstimateKind}
-	if err := m.Encode(e); err != nil {
+	data, err := e.MarshalBinary()
+	if err != nil {
 		return dist.Message{}, err
 	}
-	return m, nil
+	return dist.Message{To: to, Kind: EstimateKind, Data: data}, nil
 }
 
 // DecodeEstimate unpacks an estimate from its wire form. It rejects
@@ -124,7 +123,7 @@ func DecodeEstimate(m dist.Message) (Estimate, error) {
 		return Estimate{}, fmt.Errorf("ctrl: message kind %q is not %q", m.Kind, EstimateKind)
 	}
 	var e Estimate
-	if err := m.Decode(&e); err != nil {
+	if err := e.UnmarshalBinary(m.Data); err != nil {
 		return Estimate{}, err
 	}
 	if err := e.Validate(); err != nil {
@@ -133,15 +132,28 @@ func DecodeEstimate(m dist.Message) (Estimate, error) {
 	return e, nil
 }
 
-// DecodeEstimateBytes decodes a bare gob-encoded estimate payload (the
-// fuzz surface: arbitrary bytes must never panic).
-func DecodeEstimateBytes(data []byte) (Estimate, error) {
-	var e Estimate
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
-		return Estimate{}, fmt.Errorf("ctrl: decode estimate: %w", err)
+// MarshalBinary encodes the estimate in dist's binary codec
+// (dist.EstimatePayload): the codec's two-byte header, whose wire type
+// id versions the layout, then varint Seq,
+// little-endian float64 Time, uvarint-length float64 slices Phi and
+// Mu, and uvarint-length Source.
+func (e Estimate) MarshalBinary() ([]byte, error) {
+	m := dist.Message{Kind: EstimateKind}
+	err := m.Encode(dist.EstimatePayload(e))
+	return m.Data, err
+}
+
+// UnmarshalBinary decodes the MarshalBinary layout. The codec checks
+// every length prefix against the bytes that remain before it
+// allocates and rejects trailing bytes; a failed decode leaves e
+// untouched. The values are not checked; DecodeEstimate runs Validate
+// on them.
+func (e *Estimate) UnmarshalBinary(data []byte) error {
+	var p dist.EstimatePayload
+	m := dist.Message{Kind: EstimateKind, Data: data}
+	if err := m.Decode(&p); err != nil {
+		return err
 	}
-	if err := e.Validate(); err != nil {
-		return Estimate{}, err
-	}
-	return e, nil
+	*e = Estimate(p)
+	return nil
 }

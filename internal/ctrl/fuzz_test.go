@@ -2,33 +2,42 @@ package ctrl
 
 import (
 	"math"
+	"reflect"
 	"testing"
+
+	"gtlb/internal/dist"
 )
 
-// FuzzLoadEstimate hammers the wire-decoding surface: arbitrary bytes
-// must never panic, and whatever decodes successfully must satisfy the
-// Estimate validity contract (so a malicious or corrupted peer cannot
-// smuggle NaN rates into the controller). Valid estimates round-trip.
+// FuzzLoadEstimate hammers the daemon's wire-decoding surface: arbitrary
+// bytes must never panic, and whatever decodes successfully must satisfy
+// the Estimate validity contract (so a malicious or corrupted peer
+// cannot smuggle NaN rates into the controller). Valid estimates
+// round-trip exactly.
 func FuzzLoadEstimate(f *testing.F) {
-	// Seed with a well-formed encoding and a few mutations of it.
-	seed := Estimate{Seq: 3, Time: 1.5, Phi: []float64{10, 5}, Mu: []float64{40, 0, 25}, Source: "lbgen"}
-	m, err := EncodeMessage("lbd", seed)
-	if err != nil {
-		f.Fatal(err)
+	// Seed with well-formed binary encodings, then truncations and bit
+	// flips of them.
+	for _, e := range []Estimate{
+		{Seq: 3, Time: 1.5, Phi: []float64{10, 5}, Mu: []float64{40, 0, 25}, Source: "lbgen"},
+		{Seq: 1 << 40, Time: 0, Phi: []float64{0}, Mu: []float64{-1}},
+	} {
+		data, err := e.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(data[:len(data)-1])
+		for _, at := range []int{0, 1, len(data) - 3} {
+			flipped := append([]byte(nil), data...)
+			flipped[at] ^= 0xff
+			f.Add(flipped)
+		}
 	}
-	f.Add(m.Data)
 	f.Add([]byte{})
-	f.Add([]byte("not gob at all"))
-	if len(m.Data) > 4 {
-		trunc := append([]byte(nil), m.Data[:len(m.Data)/2]...)
-		f.Add(trunc)
-		flipped := append([]byte(nil), m.Data...)
-		flipped[len(flipped)-3] ^= 0xff
-		f.Add(flipped)
-	}
+	f.Add([]byte("not an estimate"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := DecodeEstimateBytes(data)
+		e, err := DecodeEstimate(dist.Message{Kind: EstimateKind, Data: data})
 		if err != nil {
 			return
 		}
@@ -58,7 +67,7 @@ func FuzzLoadEstimate(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
-		if e2.Seq != e.Seq || e2.Time != e.Time || len(e2.Phi) != len(e.Phi) || len(e2.Mu) != len(e.Mu) {
+		if !reflect.DeepEqual(e2, e) {
 			t.Fatalf("round trip changed the estimate: %+v -> %+v", e, e2)
 		}
 	})

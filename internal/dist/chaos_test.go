@@ -39,7 +39,7 @@ func sendKinds(t *testing.T, c Conn, to string, kinds []string) {
 	t.Helper()
 	for k, kind := range kinds {
 		m := Message{To: to, Kind: kind}
-		if err := m.Encode(k); err != nil {
+		if err := m.Encode(pingPayload{Seq: k}); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Send(m); err != nil {

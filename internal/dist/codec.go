@@ -1,29 +1,15 @@
-// Binary message codec for the protocol hot paths.
+// Binary message codec: the module's one wire format.
 //
-// Message.Encode historically gob-encoded every payload with a fresh
-// gob.Encoder, re-emitting the type descriptors on every single send —
-// at n=10,000 users the descriptor tax plus the encoder/decoder
-// construction dominates the wire cost of a token hop. Two layers fix
-// this:
+// Every protocol payload type (nash.*, lbm.*, hier.*) has a hand-rolled
+// binary encoding: one magic byte (0xB1), one wire-type byte, then
+// varint integers, little-endian float64s and bit-packed bools.
+// Encoding performs exactly one allocation (the Data slice, sized up
+// front); decoding into a reused payload struct performs none (slice
+// fields are decoded into the target's existing capacity).
 //
-//  1. Every protocol payload type (nash.*, lbm.*, hier.*) has a
-//     hand-rolled binary encoding: one magic byte (0xB1, never a valid
-//     first byte of a gob stream), one wire-type byte, then varint
-//     integers, little-endian float64s and bit-packed bools. Encoding
-//     performs exactly one allocation (the Data slice, sized up front);
-//     decoding into a reused payload struct performs none (slice fields
-//     are decoded into the target's existing capacity).
-//
-//  2. Unknown payload types (the facade lets callers send anything, and
-//     internal/ctrl ships its Estimate through the same Message) still
-//     use gob, but through per-type pools of primed encoder/decoder
-//     states: the encoder's descriptor preamble is captured once and
-//     prepended to each message's value items, and pooled decoders skip
-//     the descriptor items of the self-describing stream they have
-//     already learned. Types whose descriptor stream is value-dependent
-//     (interfaces, custom marshalers) bypass the pools; any pooled-path
-//     failure falls back to the legacy one-shot codec, so behaviour is
-//     unchanged.
+// EstimatePayload is the body of internal/ctrl's load estimate, so the
+// control plane shares this codec too; Message.Encode and Decode accept
+// nothing but these payload types.
 //
 // The wire format is part of the TCP transport contract (tcp.go frames
 // carry Data verbatim) and is documented in DESIGN.md §Hierarchical
@@ -31,20 +17,13 @@
 package dist
 
 import (
-	"bytes"
-	"encoding"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
-	"reflect"
-	"sync"
 )
 
-// codecMagic marks a binary-codec payload. A gob stream can never start
-// with it: gob item framing opens with an unsigned length whose first
-// byte is either < 0x80 (small count) or >= 0xF8 (negated byte count),
-// and 0xB1 is in neither range.
+// codecMagic marks a protocol payload, so bytes of another format
+// decoded into a protocol type fail on the first byte.
 const codecMagic = 0xB1
 
 // Wire type ids. These are wire-format constants: never renumber,
@@ -69,6 +48,7 @@ const (
 	wireHierRows
 	wireHierJoin
 	wireHierJoinOK
+	wireEstimate
 )
 
 // wireEncoder is implemented (with value receivers) by every payload
@@ -662,244 +642,32 @@ func (p *hierJoinOKPayload) decodeWire(d *wireDec) {
 	p.Seq = d.int_()
 }
 
-// --- pooled gob legacy path -----------------------------------------
-
-// gobPoolable reports whether a type's gob descriptor stream is a pure
-// function of the type (so a primed encoder's preamble can be replayed
-// and a pooled decoder can skip descriptors it already learned).
-// Interface fields make descriptor emission value-dependent, and custom
-// marshalers control their own wire data; both bypass the pools.
-var (
-	gobEncoderT     = reflect.TypeOf((*gob.GobEncoder)(nil)).Elem()
-	gobDecoderT     = reflect.TypeOf((*gob.GobDecoder)(nil)).Elem()
-	binMarshalerT   = reflect.TypeOf((*encoding.BinaryMarshaler)(nil)).Elem()
-	binUnmarshalerT = reflect.TypeOf((*encoding.BinaryUnmarshaler)(nil)).Elem()
-	txtMarshalerT   = reflect.TypeOf((*encoding.TextMarshaler)(nil)).Elem()
-	txtUnmarshalerT = reflect.TypeOf((*encoding.TextUnmarshaler)(nil)).Elem()
-)
-
-func gobPoolableType(t reflect.Type) bool {
-	return gobPoolable(t, make(map[reflect.Type]bool))
+// EstimatePayload is the wire form of a ctrl.Estimate, which has the
+// same fields and converts to and from it. dist owns the layout; ctrl
+// owns the meaning and the validity checks.
+type EstimatePayload struct {
+	Seq    int
+	Time   float64
+	Phi    []float64
+	Mu     []float64
+	Source string
 }
 
-func gobPoolable(t reflect.Type, seen map[reflect.Type]bool) bool {
-	if seen[t] {
-		return true
-	}
-	seen[t] = true
-	pt := reflect.PointerTo(t)
-	for _, iface := range []reflect.Type{gobEncoderT, gobDecoderT, binMarshalerT, binUnmarshalerT, txtMarshalerT, txtUnmarshalerT} {
-		if t.Implements(iface) || pt.Implements(iface) {
-			return false
-		}
-	}
-	switch t.Kind() {
-	case reflect.Interface, reflect.Chan, reflect.Func, reflect.UnsafePointer, reflect.Invalid:
-		return false
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		return gobPoolable(t.Elem(), seen)
-	case reflect.Map:
-		return gobPoolable(t.Key(), seen) && gobPoolable(t.Elem(), seen)
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue // gob skips unexported fields
-			}
-			if !gobPoolable(f.Type, seen) {
-				return false
-			}
-		}
-		return true
-	default:
-		return true
-	}
+func (EstimatePayload) wireID() byte { return wireEstimate }
+func (p EstimatePayload) wireSize() int {
+	return maxV + 8 + sizeF64s(p.Phi) + sizeF64s(p.Mu) + sizeStr(p.Source)
 }
-
-// gobUint parses one gob-encoded unsigned integer (first byte < 0x80 is
-// the value; otherwise it is the negated big-endian byte count).
-// Returns width 0 on malformed input.
-func gobUint(b []byte) (uint64, int) {
-	if len(b) == 0 {
-		return 0, 0
-	}
-	c := b[0]
-	if c <= 0x7f {
-		return uint64(c), 1
-	}
-	nb := 256 - int(c)
-	if nb < 1 || nb > 8 || len(b) < 1+nb {
-		return 0, 0
-	}
-	var v uint64
-	for i := 0; i < nb; i++ {
-		v = v<<8 | uint64(b[1+i])
-	}
-	return v, 1 + nb
+func (p EstimatePayload) appendWire(b []byte) []byte {
+	b = appendInt(b, p.Seq)
+	b = appendF64(b, p.Time)
+	b = appendF64s(b, p.Phi)
+	b = appendF64s(b, p.Mu)
+	return appendStr(b, p.Source)
 }
-
-// gobInt parses one gob-encoded signed integer (unsigned with the sign
-// in bit 0).
-func gobInt(b []byte) (int64, int) {
-	u, w := gobUint(b)
-	if w == 0 {
-		return 0, 0
-	}
-	if u&1 != 0 {
-		return ^int64(u >> 1), w
-	}
-	return int64(u >> 1), w
-}
-
-// skipGobDescriptors returns the suffix of a self-describing gob stream
-// starting at its first value item: each item is a length-delimited
-// block whose body opens with a signed type id, negative for type
-// descriptors. Anything it does not understand returns the full stream,
-// routing the caller to a fresh decoder.
-func skipGobDescriptors(data []byte) []byte {
-	off := 0
-	for {
-		n, w := gobUint(data[off:])
-		if w == 0 || n == 0 {
-			return data
-		}
-		body := off + w
-		if n > uint64(len(data)-body) {
-			return data
-		}
-		id, iw := gobInt(data[body : body+int(n)])
-		if iw == 0 {
-			return data
-		}
-		if id >= 0 {
-			return data[off:] // first value item
-		}
-		off = body + int(n)
-		if off >= len(data) {
-			return data // descriptors but no value: bail out whole
-		}
-	}
-}
-
-type gobEncState struct {
-	buf      bytes.Buffer
-	enc      *gob.Encoder
-	preamble []byte
-}
-
-type gobDecState struct {
-	r   *bytes.Reader
-	dec *gob.Decoder
-}
-
-type codecPool struct {
-	ok   bool // type is safe to pool
-	pool sync.Pool
-}
-
-var (
-	gobEncPools sync.Map // reflect.Type → *codecPool of *gobEncState
-	gobDecPools sync.Map // reflect.Type → *codecPool of *gobDecState
-)
-
-func poolFor(m *sync.Map, t reflect.Type) *codecPool {
-	if e, hit := m.Load(t); hit {
-		return e.(*codecPool)
-	}
-	e := &codecPool{ok: gobPoolableType(t)}
-	actual, _ := m.LoadOrStore(t, e)
-	return actual.(*codecPool)
-}
-
-// newGobEncState primes an encoder by encoding the type's zero value
-// once, capturing the descriptor preamble for replay on every message.
-func newGobEncState(t reflect.Type) (*gobEncState, error) {
-	st := &gobEncState{}
-	st.enc = gob.NewEncoder(&st.buf)
-	zt := t
-	for zt.Kind() == reflect.Pointer {
-		zt = zt.Elem() // gob flattens indirections; prime with the base value
-	}
-	if err := st.enc.Encode(reflect.New(zt).Elem().Interface()); err != nil {
-		return nil, err
-	}
-	body := skipGobDescriptors(st.buf.Bytes())
-	st.preamble = append([]byte(nil), st.buf.Bytes()[:st.buf.Len()-len(body)]...)
-	st.buf.Reset()
-	return st, nil
-}
-
-func pooledGobEncode(e *codecPool, v any) ([]byte, bool) {
-	st, _ := e.pool.Get().(*gobEncState)
-	if st == nil {
-		var err error
-		st, err = newGobEncState(reflect.TypeOf(v))
-		if err != nil {
-			return nil, false
-		}
-	}
-	st.buf.Reset()
-	if err := st.enc.Encode(v); err != nil {
-		return nil, false // encoder state unknown: drop it, use the fresh path
-	}
-	data := make([]byte, 0, len(st.preamble)+st.buf.Len())
-	data = append(data, st.preamble...)
-	data = append(data, st.buf.Bytes()...)
-	e.pool.Put(st)
-	return data, true
-}
-
-// encodeGob is the legacy path for payload types without a binary
-// encoding (facade callers, internal/ctrl estimates). Poolable types
-// reuse a primed encoder; everything else — and any pooled-path
-// failure — takes the original one-shot route, so error behaviour is
-// identical to the historical codec.
-func (m *Message) encodeGob(v any) error {
-	if t := reflect.TypeOf(v); t != nil {
-		if e := poolFor(&gobEncPools, t); e.ok {
-			if data, ok := pooledGobEncode(e, v); ok {
-				m.Data = data
-				return nil
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("dist: encode %s payload: %w", m.Kind, err)
-	}
-	m.Data = buf.Bytes()
-	return nil
-}
-
-func (m *Message) decodeGob(v any) error {
-	t := reflect.TypeOf(v)
-	if t != nil && t.Kind() == reflect.Pointer {
-		if e := poolFor(&gobDecPools, t); e.ok {
-			if st, _ := e.pool.Get().(*gobDecState); st != nil {
-				// A reused decoder has already learned this type's
-				// descriptors (every encoder emits the same preamble for a
-				// poolable type), so feed it the value items only. Failure
-				// means a stream from an unfamiliar encoder: drop the
-				// decoder and re-decode the full stream fresh below.
-				st.r.Reset(skipGobDescriptors(m.Data))
-				if err := st.dec.Decode(v); err == nil {
-					e.pool.Put(st)
-					return nil
-				}
-			} else {
-				st = &gobDecState{r: bytes.NewReader(m.Data)}
-				st.dec = gob.NewDecoder(st.r)
-				err := st.dec.Decode(v)
-				if err == nil {
-					e.pool.Put(st)
-					return nil
-				}
-				return fmt.Errorf("dist: decode %s payload: %w", m.Kind, err)
-			}
-		}
-	}
-	if err := gob.NewDecoder(bytes.NewReader(m.Data)).Decode(v); err != nil {
-		return fmt.Errorf("dist: decode %s payload: %w", m.Kind, err)
-	}
-	return nil
+func (p *EstimatePayload) decodeWire(d *wireDec) {
+	p.Seq = d.int_()
+	p.Time = d.f64()
+	p.Phi = d.f64s(p.Phi)
+	p.Mu = d.f64s(p.Mu)
+	p.Source = d.str()
 }

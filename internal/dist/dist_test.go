@@ -21,7 +21,7 @@ func TestMemNetworkBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := Message{To: "b", Kind: "ping"}
-	if err := m.Encode("hello"); err != nil {
+	if err := m.Encode(pingPayload{Seq: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Send(m); err != nil {
@@ -34,9 +34,9 @@ func TestMemNetworkBasic(t *testing.T) {
 	if got.From != "a" || got.Kind != "ping" {
 		t.Errorf("got %+v", got)
 	}
-	var s string
-	if err := got.Decode(&s); err != nil || s != "hello" {
-		t.Errorf("payload = %q, err=%v", s, err)
+	var p pingPayload
+	if err := got.Decode(&p); err != nil || p.Seq != 7 {
+		t.Errorf("payload = %+v, err=%v", p, err)
 	}
 }
 
@@ -82,9 +82,28 @@ func TestMemNetworkClose(t *testing.T) {
 func TestMessageDecodeError(t *testing.T) {
 	t.Parallel()
 	m := Message{Kind: "x", Data: []byte{0xff, 0x01}}
+	var p pingPayload
+	if err := m.Decode(&p); err == nil {
+		t.Error("garbage decoded")
+	}
 	var s string
 	if err := m.Decode(&s); err == nil {
-		t.Error("garbage decoded")
+		t.Error("decoded into a target with no binary encoding")
+	}
+}
+
+// TestMessageEncodeUnsupportedType: a value that is not one of the
+// codec's payload types has no wire format.
+func TestMessageEncodeUnsupportedType(t *testing.T) {
+	t.Parallel()
+	for _, v := range []any{"hello", 42, struct{ X int }{1}, nil} {
+		m := Message{Kind: "x"}
+		if err := m.Encode(v); err == nil {
+			t.Errorf("Encode(%T) succeeded, want an error", v)
+		}
+		if m.Data != nil {
+			t.Errorf("Encode(%T) wrote %d bytes of Data", v, len(m.Data))
+		}
 	}
 }
 
@@ -106,7 +125,7 @@ func TestTCPNetworkRoundTrip(t *testing.T) {
 	}
 	defer b.Close()
 	m := Message{To: "b", Kind: "ping"}
-	if err := m.Encode(42); err != nil {
+	if err := m.Encode(pingPayload{Seq: 42}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Send(m); err != nil {
@@ -116,9 +135,9 @@ func TestTCPNetworkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v int
-	if err := got.Decode(&v); err != nil || v != 42 || got.From != "a" {
-		t.Errorf("got %+v payload %d err %v", got, v, err)
+	var p pingPayload
+	if err := got.Decode(&p); err != nil || p.Seq != 42 || got.From != "a" {
+		t.Errorf("got %+v payload %+v err %v", got, p, err)
 	}
 }
 

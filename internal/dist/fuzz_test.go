@@ -5,9 +5,9 @@ import (
 )
 
 // FuzzMessageRoundTrip feeds arbitrary bytes through every payload
-// decoder the protocols use. Malformed gob must surface as an error —
-// never a panic — because chaos-duplicated or truncated traffic reaches
-// these decoders in production paths.
+// decoder the protocols use. Malformed binary payloads must surface as
+// an error — never a panic — because chaos-duplicated or truncated
+// traffic reaches these decoders in production paths.
 func FuzzMessageRoundTrip(f *testing.F) {
 	// Seed with one valid encoding per payload type plus degenerate data.
 	seedPayloads := []any{
@@ -21,6 +21,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		reqBidPayload{Computer: 4, Attempt: 1},
 		bidPayload{Computer: 4, Bid: 7.7},
 		awardPayload{Load: 0.3, Payment: 2.5},
+		EstimatePayload{Seq: 13, Time: 1.5, Phi: []float64{10}, Mu: []float64{40, 0}, Source: "gen"},
 	}
 	seedPayloads = append(seedPayloads, hierCodecSamples()...)
 	for _, p := range seedPayloads {
@@ -66,6 +67,8 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		_ = m.Decode(&hr)
 		var hj hierJoinOKPayload
 		_ = m.Decode(&hj)
+		var est EstimatePayload
+		_ = m.Decode(&est)
 
 		// A payload that decodes as a token must survive a re-encode
 		// round trip unchanged in the fields the protocol fences on.

@@ -1,15 +1,20 @@
 package dist
 
 import (
+	"encoding/binary"
 	"errors"
+	"io"
 	"math"
-	"strings"
+	"net"
+	"regexp"
+	"sync"
 	"testing"
 	"time"
 
 	"gtlb/internal/mechanism"
 	"gtlb/internal/noncoop"
 	"gtlb/internal/obs"
+	"gtlb/internal/queueing"
 )
 
 // brokenRecvNetwork wraps a Network and makes receives on one named
@@ -291,40 +296,193 @@ func TestNashRingUserZeroCrash(t *testing.T) {
 	}
 }
 
+// TestStateNodeIgnoresStalePublish: a strategy publish that arrives
+// after a newer one from the same user (a chaos-delayed or duplicated
+// copy) must not overwrite it — after the last round nothing would
+// repair the final profile.
+func TestStateNodeIgnoresStalePublish(t *testing.T) {
+	t.Parallel()
+	sys, err := noncoop.NewSystem([]float64{10, 20}, []float64{6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	netw := NewMemNetwork()
+	st := &stateNode{conn: mustJoin(t, netw, "state"), sys: sys, prof: noncoop.NewProfile(1, 2),
+		ejected: make([]bool, 1), pubSeq: make([]int, 1)}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		st.run()
+	}()
+	u := mustJoin(t, netw, userName(0))
+	newer, older := []float64{0.25, 0.75}, []float64{0.5, 0.5}
+	for _, p := range []strategyPayload{{User: 0, S: newer, Seq: 2}, {User: 0, S: older, Seq: 1}} {
+		m := Message{To: "state", Kind: kindStrategy}
+		if err := m.Encode(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := u.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		ack, err := u.RecvTimeout(2 * time.Second)
+		if err != nil || replySeq(ack) != p.Seq {
+			t.Fatalf("ack for seq %d: %+v, %v", p.Seq, ack, err)
+		}
+	}
+	if err := u.Send(Message{To: "state", Kind: kindStop}); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if got := st.prof.S[0]; got[0] != newer[0] || got[1] != newer[1] {
+		t.Errorf("state profile = %v after a stale publish, want the newer %v", got, newer)
+	}
+}
+
+// TestNashRegeneratedTokenSkipsStopTest: the round a regenerated token
+// plays must not pass the stop test. The token it replaced may only
+// have been slow, so users can play both tokens back to back and add
+// near-zero changes to the new token's norm; user 0 must keep the
+// regenerated token's MaxFloat64 norm for that first round.
+func TestNashRegeneratedTokenSkipsStopTest(t *testing.T) {
+	t.Parallel()
+	sys, err := noncoop.NewSystem([]float64{10, 20}, []float64{6, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := noncoop.NewProfile(2, 2)
+	for j := range prof.S {
+		prof.S[j][0], prof.S[j][1] = 1.0/3, 2.0/3
+	}
+	netw := NewMemNetwork()
+	st := &stateNode{conn: mustJoin(t, netw, "state"), sys: sys, prof: prof,
+		ejected: make([]bool, 2), pubSeq: make([]int, 2)}
+	u := &userNode{
+		conn: mustJoin(t, netw, userName(0)), sys: sys, id: 0, m: 2,
+		eps: 1e-9, max: 100, probeTO: time.Second, attempts: 3,
+		rng:      queueing.NewRNG(1).Split(1),
+		prevTime: sys.UserTime(prof, 0), lastEpoch: -1, lastHops: -1,
+		ejected: make([]bool, 2),
+		result:  &NashRingResult{}, resMu: &sync.Mutex{}, errCh: make(chan error, 1),
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); st.run() }()
+	go func() { defer wg.Done(); u.run() }()
+	peer := mustJoin(t, netw, userName(1))
+	defer func() {
+		_ = peer.Send(Message{To: "state", Kind: kindStop})
+		_ = u.conn.Close()
+		wg.Wait()
+	}()
+
+	tok := Message{To: userName(0), Kind: kindToken}
+	if err := tok.Encode(tokenPayload{Iteration: 3, Norm: math.MaxFloat64, Epoch: 1, Ejected: make([]bool, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Send(tok); err != nil {
+		t.Fatal(err)
+	}
+	fwd, err := peer.RecvTimeout(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got tokenPayload
+	if err := fwd.Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Norm != math.MaxFloat64 {
+		t.Errorf("regenerated token left user 0 with norm %g, want MaxFloat64 for its first round", got.Norm)
+	}
+}
+
 // TestTCPClosedErrorCarriesCause: a TCP receive that fails because the
 // stream died must report the underlying cause, not a bare ErrClosed
-// (regression: the decode error used to be swallowed).
+// (regression: the read error used to be swallowed).
 func TestTCPClosedErrorCarriesCause(t *testing.T) {
 	t.Parallel()
+	valid, err := appendFrame(nil, &Message{To: "x", From: "y", Kind: "ping", Data: []byte{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := append(binary.LittleEndian.AppendUint32(nil, 100), make([]byte, 10)...)
+	oversized := binary.LittleEndian.AppendUint32(nil, maxFrameSize+1)
+	for _, tc := range []struct {
+		name    string
+		conn    func(t *testing.T) Conn
+		valid   int    // well-formed messages delivered before the failure
+		cause   error  // must match besides ErrClosed; nil: any cause
+		mention string // regexp the message must match; "": any
+	}{
+		{name: "severed socket", conn: severedTCPConn, mention: "closed|EOF"},
+		{name: "frame cut mid-body", conn: streamTCPConn(append(valid, cut...)), valid: 1,
+			cause: io.ErrUnexpectedEOF},
+		{name: "oversized frame header", conn: streamTCPConn(oversized), cause: ErrFrameTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn := tc.conn(t)
+			for i := 0; i < tc.valid; i++ {
+				if m, err := conn.RecvTimeout(2 * time.Second); err != nil || m.Kind != "ping" {
+					t.Fatalf("message %d before the failure: %+v, %v", i, m, err)
+				}
+			}
+			_, err := conn.RecvTimeout(2 * time.Second)
+			if err == nil {
+				t.Fatal("Recv on a dead stream succeeded")
+			}
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("err = %v, does not match ErrClosed", err)
+			}
+			if err.Error() == ErrClosed.Error() {
+				t.Errorf("err = %q carries no underlying cause", err)
+			}
+			if tc.cause != nil && !errors.Is(err, tc.cause) {
+				t.Errorf("err = %v, does not match %v", err, tc.cause)
+			}
+			if !regexp.MustCompile(tc.mention).MatchString(err.Error()) {
+				t.Errorf("err = %q does not mention the transport failure", err)
+			}
+		})
+	}
+}
+
+// severedTCPConn joins a real broker and severs the raw socket under
+// the endpoint: the reader pump sees the failure while the endpoint
+// itself is still open.
+func severedTCPConn(t *testing.T) Conn {
 	netw, _, closeFn, err := NewTCPNetwork("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		_ = closeFn()
-	}()
+	t.Cleanup(func() { _ = closeFn() })
 	conn, err := netw.Join("x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := conn.(*tcpConn)
-	// Sever the raw socket under the endpoint: the reader pump sees the
-	// failure while the endpoint itself is still open.
-	if err := tc.c.Close(); err != nil {
+	if err := conn.(*tcpConn).c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = conn.RecvTimeout(2 * time.Second)
-	if err == nil {
-		t.Fatal("Recv on a severed stream succeeded")
-	}
-	if !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, does not match ErrClosed", err)
-	}
-	if err.Error() == ErrClosed.Error() {
-		t.Errorf("err = %q carries no underlying cause", err)
-	}
-	if !strings.Contains(err.Error(), "closed") && !strings.Contains(err.Error(), "EOF") {
-		t.Errorf("err = %q does not mention the transport failure", err)
+	return conn
+}
+
+// streamTCPConn returns an endpoint whose socket delivers stream and
+// then ends.
+func streamTCPConn(stream []byte) func(t *testing.T) Conn {
+	return func(t *testing.T) Conn {
+		client, server := net.Pipe()
+		tc := newTCPConn("x", client)
+		go tc.readLoop()
+		done := make(chan error, 1)
+		go func() {
+			_, err := server.Write(stream)
+			done <- errors.Join(err, server.Close())
+		}()
+		t.Cleanup(func() {
+			_ = tc.Close()
+			if err := <-done; err != nil {
+				t.Errorf("feeding the stream: %v", err)
+			}
+		})
+		return tc
 	}
 }
 

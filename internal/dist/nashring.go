@@ -143,6 +143,7 @@ type stateNode struct {
 	sys     noncoop.System
 	prof    noncoop.Profile
 	ejected []bool
+	pubSeq  []int // per user, the Seq of the last applied strategy
 }
 
 func (st *stateNode) run() {
@@ -167,8 +168,13 @@ func (st *stateNode) run() {
 			if m.Decode(&s) != nil {
 				continue
 			}
-			if s.User >= 0 && s.User < len(st.prof.S) && !st.ejected[s.User] {
+			// A user's request Seq only grows, so a publish with an older
+			// Seq is a delayed or duplicated copy: applying it would
+			// overwrite the newer strategy, and after the last round
+			// nothing would repair the final profile.
+			if s.User >= 0 && s.User < len(st.prof.S) && !st.ejected[s.User] && s.Seq > st.pubSeq[s.User] {
 				st.prof.S[s.User] = s.S
+				st.pubSeq[s.User] = s.Seq
 			}
 			st.ack(m.From, s.Seq)
 		case kindEject:
@@ -300,7 +306,16 @@ func (u *userNode) run() {
 					u.fail(fmt.Errorf("dist: NASH ring exceeded %d iterations (norm=%g)", u.max, tok.Norm))
 					return
 				}
-				tok.Norm = 0
+				// A token user 0 just created (Hops 0) keeps its norm for
+				// this first round: after a regeneration the old token
+				// may only have been slow, and a user that plays both
+				// back to back adds a near-zero change, so this round's
+				// norm could fall under Eps early. By the next round
+				// every live user has seen the new epoch and fences the
+				// old token.
+				if tok.Hops > 0 {
+					tok.Norm = 0
+				}
 				u.curIter = tok.Iteration
 			}
 			if err := u.bestReply(&tok); err != nil {
@@ -598,7 +613,7 @@ func RunNashRingFromWith(netw Network, sys noncoop.System, initial noncoop.Profi
 	if err != nil {
 		return NashRingResult{}, err
 	}
-	st := &stateNode{conn: stConn, sys: sys, prof: prof, ejected: make([]bool, m)}
+	st := &stateNode{conn: stConn, sys: sys, prof: prof, ejected: make([]bool, m), pubSeq: make([]int, m)}
 
 	result := &NashRingResult{}
 	var resMu sync.Mutex

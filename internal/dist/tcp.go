@@ -2,13 +2,88 @@ package dist
 
 import (
 	"bufio"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
 )
+
+// TCP frames. Every message on a TCP stream, in both directions between
+// a node and the broker, is one frame:
+//
+//	[u32 little-endian n][uvarint len, To][uvarint len, From][uvarint len, Kind][Data]
+//
+// where n counts the bytes after the length word and Data is the rest
+// of the frame, carried verbatim.
+const (
+	frameLenSize = 4
+	// maxFrameSize bounds n. A reader rejects a longer header before it
+	// allocates anything, so a corrupt or hostile peer cannot make it
+	// reserve more than this for one message.
+	maxFrameSize = 16 << 20
+)
+
+// ErrFrameTooLarge is returned (wrapped) for a frame whose length
+// exceeds the frame bound: by Send before anything is written, and
+// through ErrClosed by a receiver whose stream carried such a header.
+var ErrFrameTooLarge = errors.New("dist: tcp frame exceeds the size bound")
+
+// errBadFrame wraps a frame whose header fields overrun its length.
+var errBadFrame = errors.New("dist: malformed tcp frame")
+
+// appendFrame appends m as one frame to b. A frame over the bound is
+// not appended.
+func appendFrame(b []byte, m *Message) ([]byte, error) {
+	start := len(b)
+	b = append(b, 0, 0, 0, 0)
+	b = appendStr(b, m.To)
+	b = appendStr(b, m.From)
+	b = appendStr(b, m.Kind)
+	b = append(b, m.Data...)
+	n := len(b) - start - frameLenSize
+	if n > maxFrameSize {
+		return b[:start], fmt.Errorf("%w: %s message of %d bytes", ErrFrameTooLarge, m.Kind, n)
+	}
+	binary.LittleEndian.PutUint32(b[start:], uint32(n))
+	return b, nil
+}
+
+// readFrame reads one frame. It returns io.EOF if the stream ends
+// cleanly between frames and wraps io.ErrUnexpectedEOF if it ends
+// inside one.
+func readFrame(r *bufio.Reader) (Message, error) {
+	hdr, err := r.Peek(frameLenSize)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return Message{}, err
+	}
+	n := binary.LittleEndian.Uint32(hdr)
+	if n > maxFrameSize {
+		return Message{}, fmt.Errorf("%w: header declares %d bytes, bound %d", ErrFrameTooLarge, n, maxFrameSize)
+	}
+	_, _ = r.Discard(frameLenSize) // peeked above, cannot fail
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r, body); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return Message{}, fmt.Errorf("dist: tcp frame body: %w", err)
+	}
+	d := wireDec{b: body}
+	m := Message{To: d.str(), From: d.str(), Kind: d.str()}
+	if d.err != nil {
+		return Message{}, fmt.Errorf("%w: %v", errBadFrame, d.err)
+	}
+	if d.off < len(body) {
+		m.Data = body[d.off:]
+	}
+	return m, nil
+}
 
 // tcpNetwork is a hub-and-spoke TCP transport: a broker listens on a
 // loopback port; every node dials in, announces its name, and the broker
@@ -18,10 +93,38 @@ import (
 type tcpNetwork struct {
 	ln    net.Listener
 	mu    sync.Mutex
-	conn  map[string]*gob.Encoder
-	encM  map[string]*sync.Mutex
+	peers map[string]*frameWriter
 	socks map[net.Conn]struct{} // live node sockets, closed on shutdown
 	wg    sync.WaitGroup        // accept loop + one serve per socket
+}
+
+// frameWriter is the write side of one socket, for the broker and for
+// a node alike.
+type frameWriter struct {
+	mu  sync.Mutex
+	c   net.Conn
+	buf []byte // under mu; reused frame buffer
+}
+
+// write frames ms, each stamped with sender from, and hands them to one
+// socket write, so an n-message fan-out costs one syscall instead of n.
+// A message over the frame bound fails the call before anything is
+// written.
+func (w *frameWriter) write(from string, ms ...Message) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	b := w.buf[:0]
+	for i := range ms {
+		m := ms[i]
+		m.From = from
+		var err error
+		if b, err = appendFrame(b, &m); err != nil {
+			return err
+		}
+	}
+	w.buf = b
+	_, err := w.c.Write(b)
+	return err
 }
 
 // NewTCPNetwork starts a broker on addr ("127.0.0.1:0" picks a free
@@ -37,8 +140,7 @@ func NewTCPNetwork(addr string) (Network, string, func() error, error) {
 	}
 	n := &tcpNetwork{
 		ln:    ln,
-		conn:  make(map[string]*gob.Encoder),
-		encM:  make(map[string]*sync.Mutex),
+		peers: make(map[string]*frameWriter),
 		socks: make(map[net.Conn]struct{}),
 	}
 	n.wg.Add(1)
@@ -50,7 +152,7 @@ func NewTCPNetwork(addr string) (Network, string, func() error, error) {
 		err := ln.Close()
 		n.mu.Lock()
 		for c := range n.socks {
-			_ = c.Close() // unblocks the serve loop's Decode
+			_ = c.Close() // unblocks the serve loop's read
 		}
 		n.mu.Unlock()
 		n.wg.Wait()
@@ -85,54 +187,46 @@ func (n *tcpNetwork) serve(c net.Conn) {
 		n.mu.Unlock()
 		_ = c.Close() // broker teardown; the peer sees EOF either way
 	}()
-	dec := gob.NewDecoder(c)
-	enc := gob.NewEncoder(c)
-	var hello Message
-	if err := dec.Decode(&hello); err != nil || hello.Kind != "hello" {
+	br := bufio.NewReader(c)
+	hello, err := readFrame(br)
+	if err != nil || hello.Kind != "hello" {
 		return // bad handshake; the deferred close drops the connection
 	}
 	name := hello.From
-	mu := &sync.Mutex{}
+	p := &frameWriter{c: c}
 	n.mu.Lock()
-	n.conn[name] = enc
-	n.encM[name] = mu
+	n.peers[name] = p
 	n.mu.Unlock()
 	defer func() {
 		n.mu.Lock()
-		delete(n.conn, name)
-		delete(n.encM, name)
+		delete(n.peers, name)
 		n.mu.Unlock()
 	}()
 	// Ack the hello only after the node is registered: Join blocks on this
 	// ack, so once any node's Join returns, messages sent to it cannot be
 	// dropped as "recipient unknown" by a broker that has not caught up.
-	mu.Lock()
-	err := enc.Encode(Message{To: name, Kind: "hello.ok"})
-	mu.Unlock()
-	if err != nil {
-		return // ack failed; the peer sees a decode error
+	if err := p.write("", Message{To: name, Kind: "hello.ok"}); err != nil {
+		return // ack failed; the peer sees a read error
 	}
 	for {
-		var m Message
-		if err := dec.Decode(&m); err != nil {
+		m, err := readFrame(br)
+		if err != nil {
 			return
 		}
-		m.From = name
-		n.relay(m)
+		n.relay(name, m)
 	}
 }
 
-func (n *tcpNetwork) relay(m Message) {
+// relay forwards m to its recipient, stamped with the sender's
+// registered name.
+func (n *tcpNetwork) relay(from string, m Message) {
 	n.mu.Lock()
-	enc := n.conn[m.To]
-	mu := n.encM[m.To]
+	p := n.peers[m.To]
 	n.mu.Unlock()
-	if enc == nil {
+	if p == nil {
 		return // recipient unknown or gone; the protocols tolerate loss on shutdown
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	_ = enc.Encode(m) // best-effort relay; loss surfaces as a receiver timeout
+	_ = p.write(from, m) // best-effort relay; loss surfaces as a receiver timeout
 }
 
 // Join dials the broker and announces the node name.
@@ -141,30 +235,16 @@ func (n *tcpNetwork) Join(name string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: dial broker: %w", err)
 	}
-	bw := bufio.NewWriter(c)
-	tc := &tcpConn{
-		name: name,
-		c:    c,
-		bw:   bw,
-		enc:  gob.NewEncoder(bw),
-		dec:  gob.NewDecoder(c),
-		in:   make(chan Message, 1024),
-		dead: make(chan struct{}),
-		stop: make(chan struct{}),
-	}
-	if err := tc.enc.Encode(Message{From: name, Kind: "hello"}); err != nil {
-		_ = c.Close() // already failing; the handshake error wins
-		return nil, fmt.Errorf("dist: hello: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
+	tc := newTCPConn(name, c)
+	if err := tc.Send(Message{Kind: "hello"}); err != nil {
 		_ = c.Close() // already failing; the handshake error wins
 		return nil, fmt.Errorf("dist: hello: %w", err)
 	}
 	// Wait for the broker's registration ack (see serve); without it a
 	// message addressed to this node could race ahead of its registration
 	// and be dropped.
-	var ack Message
-	if err := tc.dec.Decode(&ack); err != nil || ack.Kind != "hello.ok" {
+	ack, err := readFrame(tc.br)
+	if err != nil || ack.Kind != "hello.ok" {
 		_ = c.Close() // already failing; the handshake error wins
 		return nil, fmt.Errorf("dist: no hello ack for %q (kind=%q, err=%v)", name, ack.Kind, err)
 	}
@@ -172,35 +252,46 @@ func (n *tcpNetwork) Join(name string) (Conn, error) {
 	return tc, nil
 }
 
-// tcpConn pumps inbound messages through a dedicated reader goroutine
+// tcpConn pumps inbound frames through a dedicated reader goroutine
 // into a channel. Recv/RecvTimeout select on that channel, so a receive
-// deadline can expire without tearing a half-decoded gob message out of
-// the stream (a raw SetReadDeadline mid-Decode would poison the decoder
-// for every later message).
+// deadline can expire without tearing a half-read frame out of the
+// stream (a raw SetReadDeadline mid-read would desynchronize the
+// framing for every later message).
 type tcpConn struct {
-	name   string
-	c      net.Conn
-	bw     *bufio.Writer // under sendMu; flushed once per Send/SendBatch
-	enc    *gob.Encoder
-	dec    *gob.Decoder
-	sendMu sync.Mutex
+	name string
+	c    net.Conn
+	br   *bufio.Reader // owned by readLoop once it starts
+	out  frameWriter
 
 	in      chan Message
 	dead    chan struct{} // closed by readLoop after readErr is set
-	readErr error         // terminal decode error; written before dead closes
+	readErr error         // terminal read error; written before dead closes
 	stop    chan struct{} // closed by Close
 	stopOne sync.Once
 }
 
+// newTCPConn wraps a connected socket; the caller starts readLoop.
+func newTCPConn(name string, c net.Conn) *tcpConn {
+	return &tcpConn{
+		name: name,
+		c:    c,
+		br:   bufio.NewReader(c),
+		out:  frameWriter{c: c},
+		in:   make(chan Message, 1024),
+		dead: make(chan struct{}),
+		stop: make(chan struct{}),
+	}
+}
+
 func (t *tcpConn) Name() string { return t.name }
 
-// readLoop decodes messages until the stream dies, then records the
+// readLoop reads frames until the stream dies, then records the
 // terminal error and signals dead. The happens-before edge of close(dead)
 // makes readErr safe to read after <-t.dead.
 func (t *tcpConn) readLoop() {
 	for {
-		var m Message
-		if err := t.dec.Decode(&m); err != nil {
+		m, err := readFrame(t.br)
+		if err != nil {
 			t.readErr = err
 			close(t.dead)
 			return
@@ -214,39 +305,19 @@ func (t *tcpConn) readLoop() {
 }
 
 func (t *tcpConn) Send(m Message) error {
-	m.From = t.name
-	t.sendMu.Lock()
-	defer t.sendMu.Unlock()
-	if err := t.enc.Encode(m); err != nil {
-		return fmt.Errorf("dist: tcp send: %w", err)
-	}
-	if err := t.bw.Flush(); err != nil {
-		return fmt.Errorf("dist: tcp send: %w", err)
-	}
-	return nil
+	return t.SendBatch([]Message{m})
 }
 
-// SendBatch coalesces a burst into one buffered write: every message is
-// gob-framed into the write buffer and the socket sees a single flush,
-// so an n-message fan-out costs one syscall batch instead of n.
+// SendBatch coalesces a burst into one socket write.
 func (t *tcpConn) SendBatch(ms []Message) error {
-	t.sendMu.Lock()
-	defer t.sendMu.Unlock()
-	for i := range ms {
-		m := ms[i]
-		m.From = t.name
-		if err := t.enc.Encode(m); err != nil {
-			return fmt.Errorf("dist: tcp send: %w", err)
-		}
-	}
-	if err := t.bw.Flush(); err != nil {
+	if err := t.out.write(t.name, ms...); err != nil {
 		return fmt.Errorf("dist: tcp send: %w", err)
 	}
 	return nil
 }
 
 // closedErr reports why the stream ended: ErrClosed joined with the
-// underlying decode error, so callers can tell a clean shutdown (EOF)
+// underlying read error, so callers can tell a clean shutdown (EOF)
 // from a corrupt stream or a reset without losing errors.Is(ErrClosed).
 func (t *tcpConn) closedErr() error {
 	if t.readErr != nil {
@@ -265,7 +336,7 @@ func (t *tcpConn) Recv() (Message, error) {
 	case m := <-t.in:
 		return m, nil
 	case <-t.dead:
-		// Drain messages decoded before the stream died.
+		// Drain messages read before the stream died.
 		select {
 		case m := <-t.in:
 			return m, nil

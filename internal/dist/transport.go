@@ -26,20 +26,21 @@ type Message struct {
 	From string // sender node name
 	To   string // recipient node name
 	Kind string // protocol-defined message type
-	Data []byte // encoded payload (binary codec or legacy gob; see codec.go)
+	Data []byte // encoded payload (binary codec; see codec.go)
 }
 
-// Encode serializes a payload value into the message's Data. Protocol
-// payload types use the compact binary codec (one allocation); any
-// other type goes through the pooled gob legacy path (codec.go).
+// Encode serializes a payload value into the message's Data with the
+// compact binary codec (one allocation). Only the codec's payload types
+// (codec.go) have a wire format; any other value is an error.
 func (m *Message) Encode(v any) error {
-	if p, ok := v.(wireEncoder); ok {
-		b := make([]byte, 0, 2+p.wireSize())
-		b = append(b, codecMagic, p.wireID())
-		m.Data = p.appendWire(b)
-		return nil
+	p, ok := v.(wireEncoder)
+	if !ok {
+		return fmt.Errorf("dist: encode %s payload: unsupported type %T", m.Kind, v)
 	}
-	return m.encodeGob(v)
+	b := make([]byte, 0, 2+p.wireSize())
+	b = append(b, codecMagic, p.wireID())
+	m.Data = p.appendWire(b)
+	return nil
 }
 
 // wireDecPool recycles decoder states: the *wireDec handed to the
@@ -47,34 +48,34 @@ func (m *Message) Encode(v any) error {
 // one per message would cost an allocation on every protocol receive.
 var wireDecPool = sync.Pool{New: func() any { return new(wireDec) }}
 
-// Decode deserializes the message's Data into v, reusing v's slice
-// capacity on the binary path. Binary payloads decoded into a target of
-// the wrong wire type — or into a type without a binary encoding — are
-// an error, as is any malformed input (never a panic).
+// Decode deserializes the message's Data into v, a pointer to one of
+// the codec's payload types, reusing v's slice capacity. Any other
+// target, bytes of the wrong wire type, and malformed input are errors
+// (never a panic).
 func (m *Message) Decode(v any) error {
-	if len(m.Data) >= 2 && m.Data[0] == codecMagic {
-		p, ok := v.(wireDecoder)
-		if !ok {
-			return fmt.Errorf("dist: decode %s payload: binary frame into unsupported target %T", m.Kind, v)
-		}
-		if m.Data[1] != p.wireID() {
-			return fmt.Errorf("dist: decode %s payload: wire type %d does not match target %T", m.Kind, m.Data[1], v)
-		}
-		d := wireDecPool.Get().(*wireDec)
-		*d = wireDec{b: m.Data, off: 2}
-		p.decodeWire(d)
-		if d.err == nil && d.off != len(d.b) {
-			d.fail("trailing bytes")
-		}
-		err := d.err
-		*d = wireDec{}
-		wireDecPool.Put(d)
-		if err != nil {
-			return fmt.Errorf("dist: decode %s payload: %w", m.Kind, err)
-		}
-		return nil
+	p, ok := v.(wireDecoder)
+	if !ok {
+		return fmt.Errorf("dist: decode %s payload: unsupported target %T", m.Kind, v)
 	}
-	return m.decodeGob(v)
+	if len(m.Data) < 2 || m.Data[0] != codecMagic {
+		return fmt.Errorf("dist: decode %s payload: not a binary protocol payload", m.Kind)
+	}
+	if m.Data[1] != p.wireID() {
+		return fmt.Errorf("dist: decode %s payload: wire type %d does not match target %T", m.Kind, m.Data[1], v)
+	}
+	d := wireDecPool.Get().(*wireDec)
+	*d = wireDec{b: m.Data, off: 2}
+	p.decodeWire(d)
+	if d.err == nil && d.off != len(d.b) {
+		d.fail("trailing bytes")
+	}
+	err := d.err
+	*d = wireDec{}
+	wireDecPool.Put(d)
+	if err != nil {
+		return fmt.Errorf("dist: decode %s payload: %w", m.Kind, err)
+	}
+	return nil
 }
 
 // Conn is one node's endpoint on a transport.

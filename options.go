@@ -26,8 +26,8 @@ type EventKind = obs.Kind
 
 // Registry is a metrics observer: it folds events into named counters,
 // gauges and mergeable latency histograms, and renders them with
-// String(). It subsumes the old FaultCounters (the chaos.*, nash.* and
-// lbm.* keys are unchanged).
+// String(). The chaos.*, nash.* and lbm.* counter keys are the
+// historical fault-counter names, unchanged.
 type Registry = obs.Registry
 
 // NewRegistry returns an empty metrics registry.
